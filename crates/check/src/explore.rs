@@ -33,38 +33,6 @@ use std::collections::HashSet;
 use crate::schedule::{ChoicePoint, ReadyEvent};
 use crate::target::{Counterexample, ExploreSession, RunReport, SessionState, Target, Violation};
 
-/// How [`explore`] walks the schedule tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExploreMode {
-    /// Fork the world at choice points and deduplicate states (the
-    /// default); targets without session support still replay.
-    Fork,
-    /// Legacy whole-run replay of decision vectors, kept as the
-    /// verification path behind `DDS_EXPLORE=replay`.
-    Replay,
-}
-
-impl ExploreMode {
-    /// Stable lowercase label (`"fork"` / `"replay"`).
-    pub const fn label(self) -> &'static str {
-        match self {
-            ExploreMode::Fork => "fork",
-            ExploreMode::Replay => "replay",
-        }
-    }
-}
-
-/// The exploration strategy selected by the `DDS_EXPLORE` environment
-/// variable: `replay` picks the legacy whole-run replay, anything else
-/// (including unset) the snapshot-forking explorer — mirroring the
-/// `DDS_QUEUE=heap` escape hatch.
-pub fn configured_explore_mode() -> ExploreMode {
-    match std::env::var("DDS_EXPLORE") {
-        Ok(v) if v.eq_ignore_ascii_case("replay") => ExploreMode::Replay,
-        _ => ExploreMode::Fork,
-    }
-}
-
 /// Runs between two [`ProgressSample`]s. Coarse enough that sampling is
 /// free next to target execution, fine enough that a default budget
 /// (512 runs) still yields a couple of points per shard.
@@ -254,24 +222,21 @@ fn extend_path(path: &mut Vec<Node>, keep: usize, report: &RunReport, por: bool)
 /// Explores the target's bounded schedule space depth-first, returning
 /// the first violation found (or exhaustion).
 ///
-/// Dispatches on [`configured_explore_mode`]: the default forks world
-/// snapshots at choice points (when the target supports sessions) and
-/// deduplicates states; `DDS_EXPLORE=replay` — or a target without
-/// session support — replays whole decision vectors. Both walks visit
+/// Forks world snapshots at choice points and deduplicates states when
+/// the target supports sessions; a target without session support
+/// replays whole decision vectors ([`explore_replay`]). Both walks visit
 /// alternatives in the same DFS order, so the first counterexample (and
-/// its plan) is identical; fork mode merely skips work replay re-does.
+/// its plan) is identical; forking merely skips work replay re-does.
 pub fn explore(target: &mut dyn Target, budget: Budget) -> Explored {
-    match configured_explore_mode() {
-        ExploreMode::Replay => explore_replay(target, budget),
-        ExploreMode::Fork => match explore_fork(target, budget) {
-            Some(out) => out,
-            None => explore_replay(target, budget),
-        },
+    match explore_fork(target, budget) {
+        Some(out) => out,
+        None => explore_replay(target, budget),
     }
 }
 
-/// The legacy replay-DFS explorer: one whole [`Target::run`] per visited
-/// schedule. Kept as the verification/fallback path.
+/// The replay-DFS explorer: one whole [`Target::run`] per visited
+/// schedule. The only engine for targets without session support, and
+/// the reference the forking engine is checked against.
 pub fn explore_replay(target: &mut dyn Target, budget: Budget) -> Explored {
     let por = target.reduction_safe();
     let mut runs = 0usize;
@@ -658,8 +623,8 @@ pub fn explore_fork(target: &mut dyn Target, budget: Budget) -> Option<Explored>
 /// byte-identical at any `DDS_THREADS` value. Each shard gets
 /// `max(1, max_runs / shards)` runs; state dedup is per-shard (shards
 /// share no memory). Falls back to the sequential [`explore`] when the
-/// target has no session support, when `DDS_EXPLORE=replay`, or when the
-/// budget forbids deviating at the root.
+/// target has no session support or when the budget forbids deviating at
+/// the root.
 pub fn explore_parallel(build: fn() -> Box<dyn Target>, budget: Budget) -> Explored {
     explore_parallel_with(dds_sim::parallel::thread_count(), build, budget)
 }
@@ -672,9 +637,6 @@ pub fn explore_parallel_with(
     budget: Budget,
 ) -> Explored {
     let mut probe = build();
-    if configured_explore_mode() == ExploreMode::Replay {
-        return explore(probe.as_mut(), budget);
-    }
     let Some(mut session) = probe.session() else {
         return explore(probe.as_mut(), budget);
     };

@@ -45,8 +45,8 @@ pub mod schedule;
 pub mod target;
 
 pub use explore::{
-    configured_explore_mode, explore, explore_fork, explore_parallel, explore_parallel_with,
-    explore_replay, Budget, ExploreMode, Explored, ProgressSample, PROGRESS_INTERVAL,
+    explore, explore_fork, explore_parallel, explore_parallel_with, explore_replay, Budget,
+    Explored, ProgressSample, PROGRESS_INTERVAL,
 };
 pub use fuzz::{fuzz, shrink, FuzzOutcome};
 pub use schedule::{ChoicePoint, ReadyEvent, ScriptPolicy};

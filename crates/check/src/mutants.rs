@@ -1273,6 +1273,26 @@ mod tests {
         }
     }
 
+    /// The engine cross-check at the exact settings `run_check` uses: for
+    /// every suite subject the sharded forking explorer and replay-DFS
+    /// reach the same verdict, the same exhaustion, and a byte-identical
+    /// witness plan; only the work counters may differ.
+    #[test]
+    fn fork_and_replay_agree_on_every_suite_subject() {
+        for subject in suite() {
+            let forked = explore_parallel_with(1, subject.build, Budget::default());
+            let mut target = (subject.build)();
+            let replayed = explore_replay(target.as_mut(), Budget::default());
+            let name = target.name();
+            assert_eq!(
+                forked.counterexample.as_ref().map(|ce| &ce.plan),
+                replayed.counterexample.as_ref().map(|ce| &ce.plan),
+                "{name}: verdict or witness plan differs between engines"
+            );
+            assert_eq!(forked.exhausted, replayed.exhausted, "{name}: exhaustion differs");
+        }
+    }
+
     /// Pins the POR/dedup interaction: an epoch bump conservatively wipes
     /// inherited sleep sets, and the dedup key carries the sleep seqs, so
     /// dedup stays sound with POR on — the reduced fork walk must still

@@ -216,8 +216,10 @@ impl Histogram {
             if idx >= BUCKETS {
                 return None;
             }
-            h.counts[idx] += c;
+            // No bucket exceeds the total, so checking the total first
+            // keeps the bucket add from overflowing too.
             total = total.checked_add(c)?;
+            h.counts[idx] += c;
         }
         if total != count {
             return None;
@@ -413,6 +415,12 @@ mod tests {
         // Counts that do not add up.
         assert!(Histogram::parse_json(
             "{\"count\": 3, \"sum\": 3, \"min\": 1, \"max\": 1, \"buckets\": [[1, 1]]}"
+        )
+        .is_none());
+        // Two entries for one bucket whose sum overflows u64.
+        assert!(Histogram::parse_json(
+            "{\"count\": 0, \"sum\": 0, \"min\": 0, \"max\": 0, \"buckets\": \
+             [[1, 9223372036854775808], [1, 9223372036854775808]]}"
         )
         .is_none());
         // Empty histogram survives.
